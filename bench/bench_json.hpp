@@ -1,6 +1,6 @@
 // Machine-readable perf trajectory: both bench binaries accept
 // `--json <path>` and append flat records {op, modulus_bits, ns_per_op,
-// backend, cores} for the operations the PR-over-PR trajectory tracks
+// backend, cores[, stage]} for the operations the PR-over-PR trajectory tracks
 // (BENCH_*.json at the repo root). Header-only; no google-benchmark
 // dependency, so the plain-main reproduction bench uses it too.
 #pragma once
@@ -19,6 +19,7 @@ struct JsonRecord {
   double ns_per_op;
   std::string backend;      // "portable" | "adx" | pipeline label
   std::size_t cores;
+  std::string stage = {};   // round stage the op dominates, if any
 };
 
 class JsonWriter {
@@ -33,8 +34,9 @@ class JsonWriter {
       const JsonRecord& r = records_[i];
       out << "  {\"op\": \"" << r.op << "\", \"modulus_bits\": "
           << r.modulus_bits << ", \"ns_per_op\": " << r.ns_per_op
-          << ", \"backend\": \"" << r.backend << "\", \"cores\": " << r.cores
-          << "}" << (i + 1 < records_.size() ? "," : "") << "\n";
+          << ", \"backend\": \"" << r.backend << "\", \"cores\": " << r.cores;
+      if (!r.stage.empty()) out << ", \"stage\": \"" << r.stage << "\"";
+      out << "}" << (i + 1 < records_.size() ? "," : "") << "\n";
     }
     out << "]\n";
     std::ofstream f(path);

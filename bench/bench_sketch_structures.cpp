@@ -4,9 +4,10 @@
 // cell-wise addition composes with additive blinding.
 //
 // `--json <path>` additionally writes the PR-over-PR trajectory rows:
-// scalar-vs-AVX2 ns/cell for the sketch kernels (merge, min-scan gather,
-// pad fold) and the measured heap allocations per accepted submission on
-// the ingest path, zero-copy vs the legacy decode-copy/re-encode chain.
+// scalar-vs-AVX2 ns/cell for the sketch kernels (merge, min-scan gather),
+// ns/cell of the SHA-256 counter-mode pad fold per backend, and the
+// measured heap allocations per accepted submission on the ingest path,
+// zero-copy vs the legacy decode-copy/re-encode chain.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -19,6 +20,8 @@
 #include <unistd.h>
 
 #include "bench_json.hpp"
+#include "crypto/sha256.hpp"
+#include "crypto/sha256_kernel.hpp"
 #include "proto/buffer_pool.hpp"
 #include "proto/message.hpp"
 #include "server/backend.hpp"
@@ -144,10 +147,10 @@ double time_ns_per_op(F&& fn, int iters) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
 }
 
-/// Scalar-vs-AVX2 ns/cell for the three kernel primitives the round
+/// Scalar-vs-AVX2 ns/cell for the two kernel primitives the round
 /// pipeline leans on: merge (cell-wise wrapping add — finalize and the
-/// cluster reduce), min-scan gather (query over the id space), and the
-/// pad fold (unblinding). Timed on the paper geometry, 17 x 2719 cells.
+/// cluster reduce) and min-scan gather (query over the id space). Timed
+/// on the paper geometry, 17 x 2719 cells.
 void add_kernel_rows(bench::JsonWriter& writer) {
   constexpr std::size_t kCells = 17 * 2719;
   constexpr std::size_t kWidth = 2719;
@@ -157,8 +160,6 @@ void add_kernel_rows(bench::JsonWriter& writer) {
   for (std::uint32_t& c : src) c = static_cast<std::uint32_t>(rng.next());
   for (std::uint32_t& c : dst) c = static_cast<std::uint32_t>(rng.next());
   for (std::uint32_t& c : row) c = static_cast<std::uint32_t>(rng.next());
-  std::vector<std::uint8_t> stream(kCells * 4);
-  for (std::uint8_t& b : stream) b = static_cast<std::uint8_t>(rng.next());
   std::vector<std::uint32_t> idx(kKeys), out(kKeys, 0xffffffffu);
   for (std::uint32_t& i : idx)
     i = static_cast<std::uint32_t>(rng.next() % kWidth);
@@ -176,17 +177,6 @@ void add_kernel_rows(bench::JsonWriter& writer) {
                              kCells,
                 .backend = k->name,
                 .cores = 1});
-    writer.add({.op = "sketch_pad_accumulate",
-                .modulus_bits = 0,
-                .ns_per_op = time_ns_per_op(
-                                 [&] {
-                                   k->pad_accumulate(dst.data(), stream.data(),
-                                                     kCells, true);
-                                 },
-                                 400) /
-                             kCells,
-                .backend = k->name,
-                .cores = 1});
     // Per key, not per row cell: a query touches `depth` gathers.
     writer.add({.op = "sketch_row_min",
                 .modulus_bits = 0,
@@ -199,6 +189,36 @@ void add_kernel_rows(bench::JsonWriter& writer) {
                              kKeys,
                 .backend = k->name,
                 .cores = 1});
+  }
+}
+
+/// ns/cell of the counter-mode pad fold (crypto/sha256_kernel.hpp) on
+/// every SHA-256 backend this host runs, at the blinded round's 7072
+/// cells. The fold is the client's blinding stage: `client.blind_ms` in
+/// perfbench traces.
+void add_pad_fold_rows(bench::JsonWriter& writer) {
+  constexpr std::size_t kCells = 7072;
+  util::Rng rng(22);
+  crypto::Digest seed;
+  for (std::uint8_t& b : seed) b = static_cast<std::uint8_t>(rng.next());
+  std::vector<std::uint32_t> acc(kCells, 0);
+  const crypto::Sha256Kernel* kernels[] = {&crypto::portable_sha256_kernel(),
+                                           crypto::shani_sha256_kernel(),
+                                           crypto::avx512_sha256_kernel()};
+  for (const crypto::Sha256Kernel* k : kernels) {
+    if (k == nullptr) continue;  // backend not on this host
+    writer.add({.op = "sha256_ctr_fold",
+                .modulus_bits = 0,
+                .ns_per_op = time_ns_per_op(
+                                 [&] {
+                                   k->ctr_fold(acc.data(), kCells, seed.data(),
+                                               true);
+                                 },
+                                 200) /
+                             kCells,
+                .backend = k->name,
+                .cores = 1,
+                .stage = "client.blind_ms"});
   }
 }
 
@@ -291,6 +311,7 @@ double ingest_allocs_per_submission(bool zero_copy) {
 void write_trajectory(const std::string& path) {
   bench::JsonWriter writer;
   add_kernel_rows(writer);
+  add_pad_fold_rows(writer);
   // The acceptance metric: allocation count rides in ns_per_op (the
   // schema is fixed; the op name disambiguates the unit).
   writer.add({.op = "ingest_allocs_per_submission",

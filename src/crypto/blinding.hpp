@@ -3,8 +3,10 @@
 //
 // Participant i derives, for every peer j, a symmetric key from the DH
 // shared secret y_j^{x_i}. The blinding factor for cell m at round s is
-//   b_i[m] = sum_{j != i} H(k_ij || m || s) * (-1)^{i > j}
-// in wrapping 32-bit arithmetic (cells are 4 bytes, matching the paper).
+//   b_i[m] = sum_{j != i} P_ij[m] * (-1)^{i < j}
+// in wrapping 32-bit arithmetic (cells are 4 bytes, matching the paper),
+// where the pad P_ij is the counter-mode expansion of
+// H(k_ij || s) read as big-endian cells (crypto::sha256_ctr_fold).
 // Each pair (i, j) contributes +t to one participant and -t to the other,
 // so sum_i b_i[m] == 0: cell-wise aggregation of all blinded reports yields
 // the true aggregate.
@@ -62,16 +64,17 @@ class BlindingParticipant {
       std::span<const std::size_t> missing) const;
 
  private:
-  /// Signed wrapping sum of the pads shared with `peers`, expanded in
+  /// Signed wrapping sum of the pads shared with `peers`, folded in
   /// parallel chunks (bit-identical to the serial loop for any chunking).
   [[nodiscard]] std::vector<BlindCell> accumulate_pads(
       std::span<const std::size_t> peers, std::size_t cells,
       std::uint64_t round) const;
+  /// Seed of the pad shared with `peer` for this round:
+  /// SHA-256(k_ij || be64(round)).
+  [[nodiscard]] Digest pad_seed(std::size_t peer, std::uint64_t round) const;
   /// Full pseudo-random pad shared with `peer` for this round.
   [[nodiscard]] std::vector<BlindCell> pad(std::size_t peer, std::size_t cells,
                                            std::uint64_t round) const;
-  [[nodiscard]] BlindCell factor(std::size_t peer, std::uint64_t cell,
-                                 std::uint64_t round) const;
 
   std::size_t index_;
   std::vector<Digest> pair_keys_;  // pair_keys_[j]; entry [index_] unused

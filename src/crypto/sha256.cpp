@@ -6,17 +6,7 @@
 
 namespace eyw::crypto {
 
-namespace {
-
-// FIPS 180-4 initial hash value; counter-mode expansion restarts from it
-// for every output block.
-constexpr std::array<std::uint32_t, 8> kIv = {
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
-}  // namespace
-
-Sha256::Sha256() noexcept : h_(kIv) {}
+Sha256::Sha256() noexcept : h_(kSha256Iv) {}
 
 void Sha256::process_block(const std::uint8_t* block) noexcept {
   active_sha256_kernel().compress(h_.data(), block, 1);
@@ -140,7 +130,7 @@ std::vector<std::uint8_t> sha256_expand(std::span<const std::uint8_t> seed,
 
 void sha256_expand_into(std::span<const std::uint8_t> seed,
                         std::span<std::uint8_t> out) noexcept {
-  // Hot path (the blinding pad expansion): seed || counter || padding
+  // Short seeds (the OPRF hash-to-group): seed || counter || padding
   // fits a single message block, so prepare the padded block once and
   // per output block only rewrite the 8 counter bytes and run one raw
   // compression from the IV — no Sha256 object, no byte-at-a-time
@@ -163,9 +153,8 @@ void sha256_expand_into(std::span<const std::uint8_t> seed,
         block[ctr_off + static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>(counter >> (56 - 8 * i));
       ++counter;
-      std::uint32_t st[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-      kernel.compress(st, block, 1);
+      std::array<std::uint32_t, 8> st = kSha256Iv;
+      kernel.compress(st.data(), block, 1);
       std::uint8_t digest[32];
       for (int i = 0; i < 8; ++i) {
         digest[4 * i] = static_cast<std::uint8_t>(st[i] >> 24);
@@ -190,6 +179,11 @@ void sha256_expand_into(std::span<const std::uint8_t> seed,
     std::memcpy(out.data() + off, d.data(), take);
     off += take;
   }
+}
+
+void sha256_ctr_fold(const Digest& seed, std::span<std::uint32_t> acc,
+                     bool add) noexcept {
+  active_sha256_kernel().ctr_fold(acc.data(), acc.size(), seed.data(), add);
 }
 
 }  // namespace eyw::crypto

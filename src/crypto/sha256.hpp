@@ -55,10 +55,17 @@ class Sha256 {
 [[nodiscard]] std::vector<std::uint8_t> sha256_expand(
     std::span<const std::uint8_t> seed, std::size_t len);
 
-/// sha256_expand writing into caller-owned storage — the allocation-free
-/// form the blinding hot loop reuses one scratch buffer through. Fills
-/// out.size() bytes.
+/// sha256_expand writing into caller-owned storage. Fills out.size()
+/// bytes.
 void sha256_expand_into(std::span<const std::uint8_t> seed,
                         std::span<std::uint8_t> out) noexcept;
+
+/// Counter-mode pad fold, the blinding hot loop: acc[i] += P[i] (add) or
+/// acc[i] -= P[i] (wrapping), where P[i] is big-endian word i of
+/// sha256_expand(seed, 4 * acc.size()). The pad never exists as bytes:
+/// each compression's output words are added straight into `acc`, on the
+/// active kernel's fold (crypto/sha256_kernel.hpp).
+void sha256_ctr_fold(const Digest& seed, std::span<std::uint32_t> acc,
+                     bool add) noexcept;
 
 }  // namespace eyw::crypto

@@ -2,35 +2,26 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
-#if defined(__x86_64__) || defined(_M_X64)
-#include <cpuid.h>
-#define EYW_X86_64 1
-#endif
+#include "util/cpu_features.hpp"
 
 namespace eyw::crypto {
 
 namespace detail {
 #if defined(EYW_HAVE_SHANI_KERNEL)
 // Defined in sha256_shani.cpp (compiled with -msha -msse4.1).
-const Sha256Kernel& shani_kernel_impl() noexcept;
+void shani_compress(std::uint32_t state[8], const std::uint8_t* blocks,
+                    std::size_t count);
+#endif
+#if defined(EYW_HAVE_AVX512_SHA256)
+// Defined in sha256_avx512.cpp (compiled with -mavx512f).
+void avx512_ctr_fold(std::uint32_t* acc, std::size_t cells,
+                     const std::uint8_t seed[32], bool add);
 #endif
 }  // namespace detail
 
 namespace {
-
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
   return (x >> n) | (x << (32 - n));
@@ -60,7 +51,7 @@ void portable_compress(std::uint32_t state[8], const std::uint8_t* blocks,
       const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
       const std::uint32_t ch = (e & f) ^ (~e & g);
       const std::uint32_t t1 =
-          h + s1 + ch + kK[static_cast<std::size_t>(i)] + w[i];
+          h + s1 + ch + kSha256K[static_cast<std::size_t>(i)] + w[i];
       const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
       const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
       const std::uint32_t t2 = s0 + maj;
@@ -84,18 +75,56 @@ void portable_compress(std::uint32_t state[8], const std::uint8_t* blocks,
   }
 }
 
-constexpr Sha256Kernel kPortable{portable_compress, "portable"};
+/// The counter-mode fold as a loop over one compression per counter
+/// block — the scalar oracle, and the pad path on hosts without
+/// AVX-512. The padded block (seed || be64(ctr) || 0x80 || zeros ||
+/// be64(320)) is built once; per block only the counter bytes change,
+/// and the output state words are the cells, so nothing is byte-decoded.
+template <void (*Compress)(std::uint32_t*, const std::uint8_t*, std::size_t)>
+void generic_ctr_fold(std::uint32_t* acc, std::size_t cells,
+                      const std::uint8_t seed[32], bool add) {
+  std::uint8_t block[64] = {0};
+  std::memcpy(block, seed, 32);
+  block[40] = 0x80;
+  block[62] = 0x01;  // message length: 40 bytes = 320 bits = 0x140
+  block[63] = 0x40;
+  for (std::uint64_t ctr = 0; cells > 0; ++ctr) {
+    for (int i = 0; i < 8; ++i)
+      block[32 + i] = static_cast<std::uint8_t>(ctr >> (56 - 8 * i));
+    std::array<std::uint32_t, 8> st = kSha256Iv;
+    Compress(st.data(), block, 1);
+    const std::size_t take = cells < 8 ? cells : 8;
+    if (add) {
+      for (std::size_t w = 0; w < take; ++w) acc[w] += st[w];
+    } else {
+      for (std::size_t w = 0; w < take; ++w) acc[w] -= st[w];
+    }
+    acc += take;
+    cells -= take;
+  }
+}
+
+constexpr Sha256Kernel kPortable{portable_compress,
+                                 generic_ctr_fold<portable_compress>,
+                                 "portable"};
+
+#if defined(EYW_HAVE_SHANI_KERNEL)
+constexpr Sha256Kernel kShani{detail::shani_compress,
+                              generic_ctr_fold<detail::shani_compress>,
+                              "shani"};
+#endif
 
 const Sha256Kernel* resolve_active() noexcept {
-  const char* pref = std::getenv("EYW_SHA256_KERNEL");
-  const bool force_portable =
-      pref != nullptr && std::strcmp(pref, "portable") == 0;
-  if (!force_portable) {
-    if (const Sha256Kernel* shani = shani_sha256_kernel()) return shani;
+  const char* env = std::getenv("EYW_SHA256_KERNEL");
+  const std::string_view pref = env != nullptr ? env : "auto";
+  // An unavailable request degrades down the ladder avx512 -> shani ->
+  // portable: the override is a test knob, not a correctness switch, and
+  // every backend computes the same bits.
+  if (pref == "portable") return &kPortable;
+  if (pref != "shani") {
+    if (const Sha256Kernel* avx512 = avx512_sha256_kernel()) return avx512;
   }
-  // "shani" requested but unavailable degrades to portable — the override
-  // is a test knob, not a correctness switch, and portable is always
-  // right.
+  if (const Sha256Kernel* shani = shani_sha256_kernel()) return shani;
   return &kPortable;
 }
 
@@ -104,20 +133,33 @@ const Sha256Kernel* resolve_active() noexcept {
 const Sha256Kernel& portable_sha256_kernel() noexcept { return kPortable; }
 
 bool cpu_supports_sha_ni() noexcept {
-#if defined(EYW_X86_64)
-  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  constexpr unsigned int kShaNi = 1u << 29;  // EBX bit 29
-  return (ebx & kShaNi) != 0;
-#else
-  return false;
-#endif
+  // SHA-NI works on XMM registers only, whose state every x86-64 OS
+  // saves: CPUID.7:EBX[29] is the whole probe.
+  return util::cpuid7_ebx_has(29);
+}
+
+bool cpu_supports_avx512f() noexcept {
+  return util::cpuid7_ebx_has(16) && util::os_saves_xstate(util::kXcr0Zmm);
 }
 
 const Sha256Kernel* shani_sha256_kernel() noexcept {
 #if defined(EYW_HAVE_SHANI_KERNEL)
   static const bool usable = cpu_supports_sha_ni();
-  return usable ? &detail::shani_kernel_impl() : nullptr;
+  return usable ? &kShani : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const Sha256Kernel* avx512_sha256_kernel() noexcept {
+#if defined(EYW_HAVE_AVX512_SHA256)
+  // Single-block hashing keeps the best compression the host has.
+  static const Sha256Kernel kernel{
+      shani_sha256_kernel() != nullptr ? shani_sha256_kernel()->compress
+                                       : portable_compress,
+      detail::avx512_ctr_fold, "avx512"};
+  static const bool usable = cpu_supports_avx512f();
+  return usable ? &kernel : nullptr;
 #else
   return nullptr;
 #endif

@@ -1,8 +1,10 @@
-// Differential suite for the SHA-256 compression kernels: the SHA-NI
-// backend must agree bit-for-bit with the portable scalar compression on
-// single blocks, multi-block chains, and through the public digest /
-// counter-mode-expansion APIs. Skips cleanly when SHA-NI is not compiled
-// in or the CPU lacks it — the portable compression is the oracle.
+// Differential suite for the SHA-256 kernels: the SHA-NI compression
+// must agree bit-for-bit with the portable scalar compression on single
+// blocks, multi-block chains, and through the public digest /
+// counter-mode-expansion APIs (skipping cleanly when SHA-NI is not
+// compiled in or the CPU lacks it — the portable compression is the
+// oracle), and every backend's counter-mode pad fold must equal its
+// definition: sha256_expand read as big-endian cells.
 #include "crypto/sha256_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -127,16 +129,121 @@ TEST(Sha256KernelGlue, ExpandFastPathMatchesIncrementalReference) {
   }
 }
 
+/// Every backend this host can run; portable first.
+std::vector<const Sha256Kernel*> available_kernels() {
+  std::vector<const Sha256Kernel*> kernels = {&portable_sha256_kernel()};
+  for (const Sha256Kernel* k : {shani_sha256_kernel(), avx512_sha256_kernel()})
+    if (k != nullptr) kernels.push_back(k);
+  return kernels;
+}
+
+/// The fold's definition: acc[i] ±= big-endian word i of
+/// sha256_expand(seed, 4 * cells).
+void reference_fold(std::uint32_t* acc, std::size_t cells,
+                    const Digest& seed, bool add) {
+  std::vector<std::uint8_t> stream(cells * 4);
+  sha256_expand_into(seed, stream);
+  for (std::size_t i = 0; i < cells; ++i) {
+    const std::uint32_t v = (static_cast<std::uint32_t>(stream[4 * i]) << 24) |
+                            (static_cast<std::uint32_t>(stream[4 * i + 1]) << 16) |
+                            (static_cast<std::uint32_t>(stream[4 * i + 2]) << 8) |
+                            static_cast<std::uint32_t>(stream[4 * i + 3]);
+    acc[i] = add ? acc[i] + v : acc[i] - v;
+  }
+}
+
+// Cell counts straddle the 8-cell block and the AVX-512 kernel's
+// 128-cell pass at both ends; 7072 is the blinded round's sketch size,
+// 7077 a ragged tail after it.
+TEST(Sha256CtrFold, EveryBackendMatchesExpandDefinition) {
+  util::Rng rng(45);
+  for (int trial = 0; trial < 3; ++trial) {
+    Digest seed;
+    for (std::uint8_t& b : seed) b = static_cast<std::uint8_t>(rng.next());
+    for (const std::size_t cells :
+         {0u, 1u, 7u, 8u, 9u, 127u, 128u, 129u, 7072u, 7077u}) {
+      // One spare word on each side: the fold must touch exactly
+      // acc[0, cells), and acc starts one word past the allocation's
+      // alignment.
+      std::vector<std::uint32_t> base(cells + 2);
+      for (std::uint32_t& c : base) c = static_cast<std::uint32_t>(rng.next());
+      for (const bool add : {true, false}) {
+        std::vector<std::uint32_t> want = base;
+        reference_fold(want.data() + 1, cells, seed, add);
+        for (const Sha256Kernel* k : available_kernels()) {
+          std::vector<std::uint32_t> got = base;
+          k->ctr_fold(got.data() + 1, cells, seed.data(), add);
+          EXPECT_EQ(want, got) << k->name << " cells=" << cells
+                               << " add=" << add << " trial=" << trial;
+        }
+      }
+    }
+  }
+}
+
+TEST(Sha256CtrFold, EveryAccAlignmentAgrees) {
+  util::Rng rng(46);
+  Digest seed;
+  for (std::uint8_t& b : seed) b = static_cast<std::uint8_t>(rng.next());
+  constexpr std::size_t kCells = 300;  // two full passes + a tail
+  std::vector<std::uint32_t> base(kCells + 16);
+  for (std::uint32_t& c : base) c = static_cast<std::uint32_t>(rng.next());
+  for (std::size_t off = 0; off < 16; ++off) {
+    std::vector<std::uint32_t> want = base;
+    reference_fold(want.data() + off, kCells, seed, true);
+    for (const Sha256Kernel* k : available_kernels()) {
+      std::vector<std::uint32_t> got = base;
+      k->ctr_fold(got.data() + off, kCells, seed.data(), true);
+      EXPECT_EQ(want, got) << k->name << " offset=" << off;
+    }
+  }
+}
+
+// Pinned pad: seed 00 01 .. 1f, cells 0-7 = SHA-256(seed || be64(0)),
+// cells 8-15 = SHA-256(seed || be64(1)), computed outside this code base.
+// Guards the pad definition itself, which every peer must share.
+TEST(Sha256CtrFold, KnownAnswerFirstSixteenCells) {
+  Digest seed;
+  for (std::size_t i = 0; i < seed.size(); ++i)
+    seed[i] = static_cast<std::uint8_t>(i);
+  const std::vector<std::uint32_t> want = {
+      0xa9d6e500, 0x293a88bd, 0x38cbe213, 0xd07ab71f, 0x8cb22585, 0x52072a01,
+      0xbdf1c40b, 0xe527f4d0, 0x6061c438, 0x6d7a1788, 0xba52e2e8, 0xb2ee6fe6,
+      0x137644ec, 0x75a70bf7, 0x042cfd67, 0xa1e57bd3};
+  for (const Sha256Kernel* k : available_kernels()) {
+    std::vector<std::uint32_t> got(16, 0);
+    k->ctr_fold(got.data(), got.size(), seed.data(), true);
+    EXPECT_EQ(want, got) << k->name;
+  }
+  std::vector<std::uint32_t> active(16, 0);
+  sha256_ctr_fold(seed, active, true);
+  EXPECT_EQ(want, active);
+  // Subtracting the pad from zero is its wrapping negation.
+  std::vector<std::uint32_t> negated(16, 0);
+  sha256_ctr_fold(seed, negated, false);
+  for (std::size_t i = 0; i < 16; ++i)
+    EXPECT_EQ(negated[i], 0u - want[i]) << "cell " << i;
+}
+
 TEST(Sha256KernelSelection, ActiveKernelRespectsEnvOverride) {
   const Sha256Kernel& active = active_sha256_kernel();
+  const std::string_view name = active.name;
   const char* env = ::getenv("EYW_SHA256_KERNEL");
   if (env != nullptr && std::string_view(env) == "portable")
-    EXPECT_STREQ(active.name, "portable");
+    EXPECT_EQ(name, "portable");
+  else if (env != nullptr && std::string_view(env) == "shani")
+    EXPECT_TRUE(name == "portable" || name == "shani");
   else
-    EXPECT_TRUE(std::string_view(active.name) == "portable" ||
-                std::string_view(active.name) == "shani");
-  if (std::string_view(active.name) == "shani")
-    EXPECT_NE(shani_sha256_kernel(), nullptr);
+    EXPECT_TRUE(name == "portable" || name == "shani" || name == "avx512");
+  if (name == "shani") EXPECT_NE(shani_sha256_kernel(), nullptr);
+  if (name == "avx512") {
+    EXPECT_NE(avx512_sha256_kernel(), nullptr);
+    // Single-block hashing keeps the host's best compression.
+    const Sha256Kernel* shani = shani_sha256_kernel();
+    EXPECT_EQ(active.compress, shani != nullptr
+                                   ? shani->compress
+                                   : portable_sha256_kernel().compress);
+  }
 }
 
 }  // namespace

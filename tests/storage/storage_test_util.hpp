@@ -56,6 +56,12 @@ inline std::vector<crypto::BlindCell> test_cells(
   return cells;
 }
 
+/// Child half of Recovery.DurableBackendSurvivesKill9MidRound: runs a
+/// journaled round in `dir` and SIGKILLs itself mid-round. Entered from
+/// main.cpp when the test binary is respawned with
+/// --recovery-kill9-child <dir>.
+int kill9_child_main(const std::string& dir);
+
 /// Field-by-field bit-identity of two round results.
 inline bool results_identical(const server::RoundResult& a,
                               const server::RoundResult& b) {

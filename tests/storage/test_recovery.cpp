@@ -340,31 +340,49 @@ TEST(Recovery, DurableBackendGracefulRestartResumesFinalizedState) {
   EXPECT_EQ(next.reports, 2u);
 }
 
-// The satellite the subsystem exists for: a forked process running a
+// The kill -9 test's geometry, shared with the child process below.
+constexpr std::uint64_t kKill9Round = 8;
+constexpr std::size_t kKill9Roster = 10;
+constexpr std::size_t kKill9BeforeKill = 6;  // > half the roster
+
+}  // namespace
+
+int kill9_child_main(const std::string& dir) {
+  // Accept kKill9BeforeKill reports with ack ⇒ fsynced, then die the hard
+  // way — no destructors, no flush, no checkpoint.
+  const server::BackendConfig config = test_config();
+  server::BackendServer inner(config);
+  server::DurableBackend durable(inner, {.dir = dir, .sync_each_submit = true});
+  durable.begin_round(kKill9Round, kKill9Roster);
+  for (std::size_t i = 0; i < kKill9BeforeKill; ++i)
+    durable.submit_report(i, test_cells(config, i));
+  ::kill(::getpid(), SIGKILL);
+  return 106;  // unreachable
+}
+
+namespace {
+
+// The scenario the subsystem exists for: a child process running a
 // DurableBackend is SIGKILLed mid-round (after more than half the roster
 // reported, every ack durable), and a fresh process on the same directory
-// finishes the round bit-identical to an uninterrupted control.
+// finishes the round bit-identical to an uninterrupted control. The child
+// is this test binary re-exec'd with --recovery-kill9-child (main.cpp):
+// the gtest process is threaded, and only exec makes it safe for the
+// child to start the journal writer thread.
 TEST(Recovery, DurableBackendSurvivesKill9MidRound) {
   const server::BackendConfig config = test_config();
-  constexpr std::uint64_t kRound = 8;
-  constexpr std::size_t kRoster = 10;
-  constexpr std::size_t kBeforeKill = 6;  // > half the roster
+  constexpr std::uint64_t kRound = kKill9Round;
+  constexpr std::size_t kRoster = kKill9Roster;
+  constexpr std::size_t kBeforeKill = kKill9BeforeKill;
   TempDir tmp;
   const std::string dir = tmp.path() + "/journal";
 
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: accept kBeforeKill reports with ack ⇒ fsynced, then die the
-    // hard way — no destructors, no flush, no checkpoint.
-    server::BackendServer inner(config);
-    server::DurableBackend durable(
-        inner, {.dir = dir, .sync_each_submit = true});
-    durable.begin_round(kRound, kRoster);
-    for (std::size_t i = 0; i < kBeforeKill; ++i)
-      durable.submit_report(i, test_cells(config, i));
-    ::kill(::getpid(), SIGKILL);
-    ::_exit(106);  // unreachable
+    ::execl("/proc/self/exe", "eyw_test_storage", "--recovery-kill9-child",
+            dir.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);  // exec failed
   }
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
